@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 
+	"repro/internal/countsketch"
 	"repro/internal/pairs"
 	"repro/internal/sketchapi"
 	"repro/internal/stream"
@@ -455,7 +456,7 @@ func (e *Estimator) top(k int, rank func(float64) float64) ([]PairEstimate, erro
 	d := e.cfg.Dim
 	var items []topk.Item
 	if e.track != nil {
-		items = e.track.Top(k, func(key uint64) float64 { return rank(e.cfg.Engine.Estimate(key)) })
+		items = RescoreTop(e.track, e.cfg.Engine, k, rank)
 	} else {
 		p := pairs.Count(d)
 		if p > e.cfg.MaxExhaustivePairs {
@@ -474,6 +475,45 @@ func (e *Estimator) top(k int, rank func(float64) float64) ([]PairEstimate, erro
 		out[i] = PairEstimate{A: a, B: b, Key: it.Key, Estimate: e.cfg.Engine.Estimate(it.Key)}
 	}
 	return out, nil
+}
+
+// tableEngine is the facet of the engines whose estimate is exactly
+// their count sketch's (CS MeanSketch and ASCS core.Engine, folded or
+// decayed alike). The filter baselines keep part of their mass outside
+// the table and do not expose it.
+type tableEngine interface {
+	Sketch() *countsketch.Sketch
+}
+
+// RescoreTop returns the k tracked candidates ranking first by
+// rank(current estimate), in rank order (ties by ascending key) — the
+// query-time rescore shared by the batch estimator and the serving
+// shards. Table engines are rescored in chunks through the sketch's
+// wave primitives (LocateBatch, then EstimateSlotsBatch), which are
+// bit-identical to per-key Estimate; other engines pay one Estimate
+// per candidate.
+func RescoreTop(t *topk.Tracker, eng sketchapi.Ingestor, k int, rank func(float64) float64) []topk.Item {
+	estimate := func(keys []uint64, ests []float64) {
+		for i, key := range keys {
+			ests[i] = eng.Estimate(key)
+		}
+	}
+	if te, ok := eng.(tableEngine); ok {
+		sk := te.Sketch()
+		var slots []countsketch.Slot
+		var raws []float64
+		estimate = func(keys []uint64, ests []float64) {
+			n := len(keys)
+			if cap(raws) < n {
+				slots = make([]countsketch.Slot, n*sk.K())
+				raws = make([]float64, n)
+			}
+			sl := slots[:n*sk.K()]
+			sk.LocateBatch(keys, sl)
+			sk.EstimateSlotsBatch(sl, ests, raws[:n])
+		}
+	}
+	return t.TopBatch(k, estimate, rank)
 }
 
 // RankedKeys returns all p pair keys ordered by descending estimate

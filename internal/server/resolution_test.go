@@ -120,6 +120,12 @@ func TestResolutionFoldedShards(t *testing.T) {
 	if resp, body := postJSON(t, ts.URL+"/v1/ingest", wireSamples(resSamples(d, 200))); resp.StatusCode != http.StatusOK {
 		t.Fatalf("ingest status %d: %s", resp.StatusCode, body)
 	}
+	// Wait for the batches to apply first: shards idle since start may
+	// already have folded, and a fold level read before the queued
+	// batches unfold them would be stale by the time top-k runs.
+	if err := srv.Manager().Flush(); err != nil {
+		t.Fatal(err)
+	}
 	deadline := time.Now().Add(5 * time.Second)
 	for srv.Manager().MaxShardFoldLevel() == 0 && time.Now().Before(deadline) {
 		time.Sleep(2 * time.Millisecond)

@@ -4,14 +4,14 @@ import (
 	"testing"
 
 	"repro/internal/countsketch"
+	"repro/internal/sketchapi"
 	"repro/internal/stream"
 )
 
 // TestRestoreKeepsFusedPath is the regression pin for a silent perf
-// cliff: Restore must wire the fused OfferPairs path (worker.fast)
-// exactly as Manager.start does, or every restored deployment falls
-// back to the pre-fusion per-op ingest sequence for the rest of its
-// life.
+// cliff: Restore must wire the row ingest path (worker.row) exactly as
+// Manager.start does, and an engine without one is refused at
+// construction rather than served by a slower fallback.
 func TestRestoreKeepsFusedPath(t *testing.T) {
 	m, err := New(Config{
 		Dim: 10,
@@ -26,8 +26,8 @@ func TestRestoreKeepsFusedPath(t *testing.T) {
 	}
 	defer m.Close()
 	for _, w := range m.workers {
-		if w.fast == nil {
-			t.Fatal("fresh manager worker lacks the fused path (test setup broken)")
+		if w.row == nil {
+			t.Fatal("fresh manager worker lacks the row path (test setup broken)")
 		}
 	}
 	if _, _, err := m.Ingest([]stream.Sample{{Idx: []int{0, 1}, Val: []float64{1, 2}}}); err != nil {
@@ -43,8 +43,16 @@ func TestRestoreKeepsFusedPath(t *testing.T) {
 	}
 	defer r.Close()
 	for i, w := range r.workers {
-		if w.fast == nil {
-			t.Fatalf("restored worker %d lost the fused OfferPairs path", i)
+		if w.row == nil {
+			t.Fatalf("restored worker %d lost the row ingest path", i)
 		}
 	}
+	if _, err := rowOfferer(rowlessEngine{}); err == nil {
+		t.Fatal("an engine without OfferRow was accepted")
+	}
 }
+
+// rowlessEngine is a Snapshotter without the row ingest path.
+type rowlessEngine struct{ sketchapi.Snapshotter }
+
+func (rowlessEngine) Name() string { return "rowless" }

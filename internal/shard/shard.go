@@ -97,6 +97,7 @@ import (
 	"time"
 
 	"repro/internal/countsketch"
+	"repro/internal/covstream"
 	"repro/internal/faults"
 	"repro/internal/hashing"
 	"repro/internal/obs"
@@ -413,8 +414,7 @@ type worker struct {
 	// wait is the message in flight, not the queue depth.
 	qch   chan msg
 	eng   sketchapi.Snapshotter
-	fast  sketchapi.OfferEstimator // non-nil when eng supports the fused path
-	row   sketchapi.RowOfferer     // non-nil when eng supports the row path
+	row   sketchapi.RowOfferer // eng's row ingest path (every engine has one)
 	track *topk.Tracker
 	lastT int
 	ops   uint64
@@ -479,9 +479,8 @@ type worker struct {
 	// so the hot path stays lock-free and allocation-free.
 	lambda float64
 
-	// Scratch for the batched fast paths, reused across apply calls
-	// (keys only for engines without OfferRow; ests for the tracker).
-	keys []uint64
+	// ests is the tracker's per-offer estimate scratch, reused across
+	// apply calls.
 	ests []float64
 }
 
@@ -734,48 +733,29 @@ func (w *worker) apply(b *rowBatch) {
 		if h.t > w.lastT {
 			w.beginStep(h.t)
 		}
-		switch {
-		case w.row != nil:
-			// Row fast path: the engine expands base+partner keys inside
-			// its wave pipeline; the tracker reuses the per-offer
-			// estimates (one locate serves gate, insert, and score) and
-			// re-derives each key with the same wrapping add.
-			if cap(w.ests) < h.n {
-				w.ests = make([]float64, h.n)
-			}
-			ests := w.ests[:h.n]
-			w.row.OfferRow(h.base, prt, xs, ests)
-			for i, p := range prt {
-				w.track.Offer(h.base+p, math.Abs(ests[i]))
-			}
-		case w.fast != nil:
-			// Fused pair path for engines without OfferRow: materialize
-			// the run's keys into worker scratch and push one OfferPairs.
-			keys := w.keys[:0]
-			for _, p := range prt {
-				keys = append(keys, h.base+p)
-			}
-			if cap(w.ests) < h.n {
-				w.ests = make([]float64, h.n)
-			}
-			ests := w.ests[:h.n]
-			w.fast.OfferPairs(keys, xs, ests)
-			for i, key := range keys {
-				w.track.Offer(key, math.Abs(ests[i]))
-			}
-			w.keys = keys
-		default:
-			for i, p := range prt {
-				key := h.base + p
-				w.eng.Offer(key, xs[i])
-				// Same candidate policy as the batch retrieval path
-				// (covstream): score by the current |estimate| and rescore
-				// at query time, so keys the gate keeps admitting stay hot.
-				w.track.Offer(key, math.Abs(w.eng.Estimate(key)))
-			}
+		// The engine expands base+partner keys inside its wave pipeline;
+		// the tracker reuses the per-offer estimates (one locate serves
+		// gate, insert, and score) and re-derives each key with the same
+		// wrapping add.
+		if cap(w.ests) < h.n {
+			w.ests = make([]float64, h.n)
+		}
+		ests := w.ests[:h.n]
+		w.row.OfferRow(h.base, prt, xs, ests)
+		for i, p := range prt {
+			w.track.Offer(h.base+p, math.Abs(ests[i]))
 		}
 		w.ops += uint64(h.n)
 	}
+}
+
+// rowOfferer returns eng's row ingest path, which the workers require.
+func rowOfferer(eng sketchapi.Snapshotter) (sketchapi.RowOfferer, error) {
+	r, ok := eng.(sketchapi.RowOfferer)
+	if !ok {
+		return nil, fmt.Errorf("shard: engine %s does not implement sketchapi.RowOfferer", eng.Name())
+	}
+	return r, nil
 }
 
 // kv is a per-shard query result: a candidate key with its signed
@@ -787,7 +767,7 @@ type kv struct {
 
 // localTop returns the shard's k best candidates under rank.
 func (w *worker) localTop(k int, rank func(float64) float64) []kv {
-	items := w.track.Top(k, func(key uint64) float64 { return rank(w.eng.Estimate(key)) })
+	items := covstream.RescoreTop(w.track, w.eng, k, rank)
 	out := make([]kv, len(items))
 	for i, it := range items {
 		out[i] = kv{key: it.Key, est: w.eng.Estimate(it.Key)}
@@ -974,11 +954,8 @@ func (m *Manager) start(spec EngineSpec) error {
 			free:   m.opFree,
 			faults: m.faults,
 		}
-		if f, ok := eng.(sketchapi.OfferEstimator); ok {
-			w.fast = f
-		}
-		if r, ok := eng.(sketchapi.RowOfferer); ok {
-			w.row = r
+		if w.row, err = rowOfferer(eng); err != nil {
+			return err
 		}
 		w.foldSetup(m.cfg.FoldIdle, m.cfg.FoldIdleTicks, m.cfg.FoldLevels)
 		if m.wlog != nil {

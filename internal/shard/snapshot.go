@@ -663,14 +663,8 @@ func readShard(path string, kind Kind, trackCap int) (*worker, error) {
 		return nil, err
 	}
 	w.eng = eng
-	// Same fast-path detection as Manager.start: without it a restored
-	// manager would silently fall back to per-op ingest (three hash
-	// phases) for the rest of its life.
-	if f, ok := eng.(sketchapi.OfferEstimator); ok {
-		w.fast = f
-	}
-	if r, ok := eng.(sketchapi.RowOfferer); ok {
-		w.row = r
+	if w.row, err = rowOfferer(eng); err != nil {
+		return nil, err
 	}
 	w.track, err = readTracker(br, trackCap)
 	if err != nil {
@@ -691,8 +685,11 @@ func readTracker(r io.Reader, capacity int) (*topk.Tracker, error) {
 		if _, err := io.ReadFull(r, buf); err != nil {
 			return nil, fmt.Errorf("reading tracker entry %d: %w", i, err)
 		}
-		t.Offer(binary.LittleEndian.Uint64(buf[0:]),
-			math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])))
+		key := binary.LittleEndian.Uint64(buf[0:])
+		if key == topk.ReservedKey {
+			return nil, fmt.Errorf("tracker entry %d holds the reserved key %#x: %w", i, key, ErrSnapshotCorrupt)
+		}
+		t.Offer(key, math.Float64frombits(binary.LittleEndian.Uint64(buf[8:])))
 	}
 	return t, nil
 }

@@ -44,8 +44,8 @@ type Ingestor interface {
 // state as Offer(key, x) and returns the bit-same value a subsequent
 // Estimate(key) would, while hashing the key once instead of up to three
 // times. All four engines (CS MeanSketch, ASCS core.Engine, ASketch,
-// ColdFilter) implement it; covstream and the serving shards prefer it
-// when present and fall back to Offer+Estimate otherwise.
+// ColdFilter) implement it; covstream prefers it when present and falls
+// back to Offer+Estimate otherwise.
 type OfferEstimator interface {
 	Ingestor
 	// OfferEstimate presents X_i^{(t)} = x for key i and returns the
@@ -76,8 +76,9 @@ type OfferEstimator interface {
 // ests) with keys[j] = rowBase + partners[j] (a wrapping uint64 add —
 // pairs.RowBase(0, d) is the two's complement of −1, and base+partner
 // wraps back to the intended pair index), and fills ests identically.
-// All four engines implement it; covstream and the shard workers prefer
-// it when present.
+// All four engines implement it; covstream prefers it when present, and
+// the shard workers require it (shard.New and shard.Restore refuse an
+// engine without it).
 type RowOfferer interface {
 	OfferEstimator
 	// OfferRow offers partner j of one row as the pair
