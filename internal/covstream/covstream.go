@@ -488,32 +488,40 @@ type tableEngine interface {
 // RescoreTop returns the k tracked candidates ranking first by
 // rank(current estimate), in rank order (ties by ascending key) — the
 // query-time rescore shared by the batch estimator and the serving
-// shards. Table engines are rescored in chunks through the sketch's
-// wave primitives (LocateBatch, then EstimateSlotsBatch), which are
-// bit-identical to per-key Estimate; other engines pay one Estimate
-// per candidate.
+// shards, estimated in chunks through batchEstimator.
 func RescoreTop(t *topk.Tracker, eng sketchapi.Ingestor, k int, rank func(float64) float64) []topk.Item {
-	estimate := func(keys []uint64, ests []float64) {
-		for i, key := range keys {
-			ests[i] = eng.Estimate(key)
-		}
-	}
-	if te, ok := eng.(tableEngine); ok {
-		sk := te.Sketch()
-		var slots []countsketch.Slot
-		var raws []float64
-		estimate = func(keys []uint64, ests []float64) {
-			n := len(keys)
-			if cap(raws) < n {
-				slots = make([]countsketch.Slot, n*sk.K())
-				raws = make([]float64, n)
+	return t.TopBatch(k, batchEstimator(eng), rank)
+}
+
+// batchEstimator returns a function filling ests[i] with eng's current
+// estimate of keys[i], for the chunked estimate passes (the top-k
+// rescore, the warm-up census). Table engines estimate through the
+// sketch's wave primitives (LocateBatch, then EstimateSlotsBatch),
+// which are bit-identical to per-key Estimate; other engines pay one
+// Estimate per key. The slot scratch is reused across calls, so callers
+// keep chunks small.
+func batchEstimator(eng sketchapi.Ingestor) func(keys []uint64, ests []float64) {
+	te, ok := eng.(tableEngine)
+	if !ok {
+		return func(keys []uint64, ests []float64) {
+			for i, key := range keys {
+				ests[i] = eng.Estimate(key)
 			}
-			sl := slots[:n*sk.K()]
-			sk.LocateBatch(keys, sl)
-			sk.EstimateSlotsBatch(sl, ests, raws[:n])
 		}
 	}
-	return t.TopBatch(k, estimate, rank)
+	sk := te.Sketch()
+	var slots []countsketch.Slot
+	var raws []float64
+	return func(keys []uint64, ests []float64) {
+		n := len(keys)
+		if cap(raws) < n {
+			slots = make([]countsketch.Slot, n*sk.K())
+			raws = make([]float64, n)
+		}
+		sl := slots[:n*sk.K()]
+		sk.LocateBatch(keys, sl)
+		sk.EstimateSlotsBatch(sl, ests, raws[:n])
+	}
 }
 
 // RankedKeys returns all p pair keys ordered by descending estimate

@@ -3,6 +3,7 @@ package covstream
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/core"
@@ -136,29 +137,80 @@ func (w WarmupResult) ASCSParams(alpha float64, T, K, R int) core.Params {
 }
 
 // warmupProbe accumulates Σx² (for σ) and a distinct-key census (for the
-// percentiles) while delegating to the warm-up sketch.
+// percentiles) while delegating to the warm-up sketch. It implements
+// every ingest path the Estimator may take — per-pair Offer, the fused
+// OfferEstimate/OfferPairs and the row-wave OfferRow/OfferRows — and
+// censuses each offered pair on all of them, so the Estimator rides the
+// sketch's row path while the census still sees every pair, with the
+// same products (left[i]·right[j] is the pair path's increment, formed
+// from the same operands) summed in the same row-major order. The
+// sketch is a field, not embedded, so no ingest method it may grow
+// later can bypass the census.
 type warmupProbe struct {
-	inner   sketchapi.Ingestor
+	ms      *countsketch.MeanSketch
 	sumX2   float64
 	n       int64
 	sampler *topk.BottomK
 }
 
-func (s *warmupProbe) BeginStep(t int)             { s.inner.BeginStep(t) }
-func (s *warmupProbe) Estimate(key uint64) float64 { return s.inner.Estimate(key) }
-func (s *warmupProbe) Bytes() int                  { return s.inner.Bytes() }
-func (s *warmupProbe) Name() string                { return s.inner.Name() }
-func (s *warmupProbe) Offer(key uint64, x float64) {
+var _ sketchapi.RowOfferer = (*warmupProbe)(nil)
+
+func (s *warmupProbe) BeginStep(t int)             { s.ms.BeginStep(t) }
+func (s *warmupProbe) Estimate(key uint64) float64 { return s.ms.Estimate(key) }
+func (s *warmupProbe) Bytes() int                  { return s.ms.Bytes() }
+func (s *warmupProbe) Name() string                { return s.ms.Name() }
+
+// note censuses one offered pair.
+func (s *warmupProbe) note(key uint64, x float64) {
 	s.sumX2 += x * x
 	s.n++
 	s.sampler.Offer(key)
-	s.inner.Offer(key, x)
 }
+
+func (s *warmupProbe) Offer(key uint64, x float64) {
+	s.note(key, x)
+	s.ms.Offer(key, x)
+}
+
+func (s *warmupProbe) OfferEstimate(key uint64, x float64) (float64, bool) {
+	s.note(key, x)
+	return s.ms.OfferEstimate(key, x)
+}
+
+func (s *warmupProbe) OfferPairs(keys []uint64, xs []float64, ests []float64) {
+	for i, key := range keys {
+		s.note(key, xs[i])
+	}
+	s.ms.OfferPairs(keys, xs, ests)
+}
+
+func (s *warmupProbe) OfferRow(rowBase uint64, partners []uint64, x []float64, ests []float64) {
+	for j, p := range partners {
+		s.note(rowBase+p, x[j])
+	}
+	s.ms.OfferRow(rowBase, partners, x, ests)
+}
+
+func (s *warmupProbe) OfferRows(bases, ids []uint64, left, right []float64, ests []float64) {
+	for i := 0; i+1 < len(ids); i++ {
+		base, li := bases[i], left[i]
+		for j := i + 1; j < len(ids); j++ {
+			s.note(base+ids[j], li*right[j])
+		}
+	}
+	s.ms.OfferRows(bases, ids, left, right, ests)
+}
+
+// censusChunk is how many census keys one batched estimate call takes
+// (the rescore's chunk size: the keys, estimates and slot scratch stay
+// in L1).
+const censusChunk = 64
 
 // Warmup runs a vanilla CS over the first warmupN samples of src (§8.1:
 // "we can spend some samples to explore the distribution of μ").
-// maxSeen caps the census memory (default 5M keys); beyond it the census
-// degrades gracefully to a uniform subsample.
+// maxSeen caps the census (default 5M keys); beyond it the census
+// degrades gracefully to a uniform subsample. Census memory follows the
+// distinct keys actually offered, not maxSeen.
 func Warmup(src stream.Source, warmupN int, cfg countsketch.Config, mode Mode, maxSeen int, seed int64) (WarmupResult, error) {
 	if warmupN < 1 {
 		return WarmupResult{}, fmt.Errorf("covstream: warmupN must be ≥ 1")
@@ -171,7 +223,7 @@ func Warmup(src stream.Source, warmupN int, cfg countsketch.Config, mode Mode, m
 	if err != nil {
 		return WarmupResult{}, err
 	}
-	probe := &warmupProbe{inner: ms, sampler: topk.NewBottomK(maxSeen, uint64(seed)^0xB077)}
+	probe := &warmupProbe{ms: ms, sampler: topk.NewBottomK(maxSeen, uint64(seed)^0xB077)}
 	est, err := New(Config{Dim: dim, T: warmupN, Engine: probe, Mode: mode})
 	if err != nil {
 		return WarmupResult{}, err
@@ -185,11 +237,14 @@ func Warmup(src stream.Source, warmupN int, cfg countsketch.Config, mode Mode, m
 	}
 
 	keys := probe.sampler.Keys()
-	seen := make([]float64, 0, len(keys))
-	for _, key := range keys {
-		seen = append(seen, ms.Estimate(key))
+	seen := make([]float64, len(keys))
+	estimate := batchEstimator(ms)
+	for lo := 0; lo < len(keys); lo += censusChunk {
+		hi := min(lo+censusChunk, len(keys))
+		estimate(keys[lo:hi], seen[lo:hi])
 	}
-	sort.Sort(sort.Reverse(sort.Float64Slice(seen)))
+	slices.Sort(seen)
+	slices.Reverse(seen)
 
 	p := pairs.Count(dim)
 	distinct := probe.sampler.DistinctEstimate()

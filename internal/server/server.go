@@ -266,6 +266,15 @@ func (s *Server) instrument(name string, fn func(w http.ResponseWriter, r *http.
 			r = r.WithContext(context.WithValue(r.Context(), qtKey{}, qt))
 		}
 		resp, err := fn(w, r)
+		var body []byte
+		if err == nil {
+			// Marshal before any byte is written, so an unencodable
+			// response (e.g. a non-finite estimate) fails as a 500 with
+			// a body instead of an empty 200.
+			if body, err = json.Marshal(resp); err != nil {
+				err = fmt.Errorf("encoding %s response: %w", name, err)
+			}
+		}
 		total := time.Since(start)
 		em.observe(total, err != nil)
 		w.Header().Set("Content-Type", "application/json")
@@ -285,11 +294,11 @@ func (s *Server) instrument(name string, fn func(w http.ResponseWriter, r *http.
 			case status == http.StatusServiceUnavailable && isDeadline(err):
 				s.deadline503.Add(1)
 			}
+			// A string map always marshals.
+			body, _ = json.Marshal(map[string]string{"error": err.Error()})
 			w.WriteHeader(status)
-			json.NewEncoder(w).Encode(map[string]string{"error": err.Error()})
-		} else {
-			json.NewEncoder(w).Encode(resp)
 		}
+		w.Write(append(body, '\n'))
 		if qt != nil {
 			// One span record per stage, in request order — the trace's
 			// span anatomy documented in DESIGN.md.

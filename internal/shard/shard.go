@@ -1052,8 +1052,16 @@ func (m *Manager) IngestCtx(ctx context.Context, samples []stream.Sample) (first
 	if len(samples) == 0 {
 		return 0, 0, nil
 	}
+	// Without Standardize the scaling factors are fixed at construction,
+	// so the increment bound is checked here with the structure; fitted
+	// factors appear at warm-up completion and are checked under mu.
+	fixedScale := !m.cfg.Standardize
 	for i := range samples {
-		if err := samples[i].Validate(m.cfg.Dim); err != nil {
+		err := samples[i].Validate(m.cfg.Dim)
+		if err == nil && fixedScale {
+			err = checkIncrements(samples[i], m.invStd)
+		}
+		if err != nil {
 			return 0, 0, fmt.Errorf("%w %d: %v", ErrInvalidSample, i, err)
 		}
 	}
@@ -1063,6 +1071,11 @@ func (m *Manager) IngestCtx(ctx context.Context, samples []stream.Sample) (first
 		return 0, 0, ErrClosed
 	}
 	if m.warming {
+		// Warm-up samples are the fit's own data: a scaled value lies
+		// within √n fitted deviations of its feature's mean, and a mean
+		// sits at most ~2^52·√n deviations from zero before rounding
+		// makes the feature constant (factor 0), so their products stay
+		// far inside MaxPairIncrement.
 		return m.ingestWarming(samples) // releases mu
 	}
 	if m.replaying {
@@ -1075,6 +1088,14 @@ func (m *Manager) IngestCtx(ctx context.Context, samples []stream.Sample) (first
 		if m.closed {
 			m.mu.Unlock()
 			return 0, 0, ErrClosed
+		}
+	}
+	if !fixedScale {
+		for i := range samples {
+			if err := checkIncrements(samples[i], m.invStd); err != nil {
+				m.mu.Unlock()
+				return 0, 0, fmt.Errorf("%w %d: %v", ErrInvalidSample, i, err)
+			}
 		}
 	}
 	if m.cfg.Admission != AdmitBlock {
@@ -1103,6 +1124,45 @@ func (m *Manager) IngestCtx(ctx context.Context, samples []stream.Sample) (first
 		return base, base + len(samples) - 1, err
 	}
 	return base, base + len(samples) - 1, nil
+}
+
+// MaxPairIncrement bounds the magnitude of any pair increment ya·yb
+// (after standardization) that ingest accepts. Engines insert x/T
+// (T ≥ 1) and, in decay mode, divide by a lazy decay scale that never
+// drops below sketchapi.RenormFloor (1e-120) before adding to a cell,
+// so a stored update stays below 1e270 — finite, with room for ~1e38
+// such adds per cell. Larger increments (e.g. 1e200·1e200 = +Inf, or a
+// tiny-variance feature's huge fitted factor) are refused with
+// ErrInvalidSample instead of reaching an engine's non-finite guard.
+const MaxPairIncrement = 1e150
+
+// checkIncrements refuses a sample whose largest pair increment, with
+// values scaled by scale (nil = unscaled) exactly as route scales them,
+// exceeds MaxPairIncrement. The largest |ya·yb| is the product of the
+// two largest scaled magnitudes, so the check costs O(nnz). NaN (an
+// infinite factor times a stored zero) is refused too.
+func checkIncrements(s stream.Sample, scale []float64) error {
+	if len(s.Val) < 2 {
+		return nil
+	}
+	var a1, a2 float64 // the two largest scaled magnitudes, a1 ≥ a2
+	for i, v := range s.Val {
+		if scale != nil {
+			v *= scale[s.Idx[i]]
+		}
+		switch v = math.Abs(v); {
+		case v > a1:
+			a1, a2 = v, a1
+		case v > a2:
+			a2 = v
+		case v != v:
+			return fmt.Errorf("value at index %d scales to NaN", s.Idx[i])
+		}
+	}
+	if p := a1 * a2; !(p <= MaxPairIncrement) {
+		return fmt.Errorf("pair increment magnitude %g exceeds %g", p, MaxPairIncrement)
+	}
+	return nil
 }
 
 // awaitReplay blocks (releasing mu while waiting) until no warm-up

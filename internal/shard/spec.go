@@ -428,7 +428,7 @@ func (m *Manager) deriveSpec() (EngineSpec, []float64, error) {
 		if err != nil {
 			return EngineSpec{}, nil, err
 		}
-		invStd = append([]float64(nil), st.InvStds()...)
+		invStd = st.InvStds()
 		scaled := make([]stream.Sample, len(samples))
 		for i, s := range samples {
 			out := stream.Sample{Idx: s.Idx, Val: make([]float64, len(s.Val))}

@@ -113,12 +113,13 @@ func (m *Manager) WALStats() *WALStats {
 	if ws == nil {
 		return nil
 	}
+	armed := ws.armed.Load() // before the error fields; see disarm
 	ls := ws.log.Stats()
 	ws.errMu.Lock()
 	lastErr := ws.lastErr
 	ws.errMu.Unlock()
 	return &WALStats{
-		Armed:             ws.armed.Load(),
+		Armed:             armed,
 		Sync:              ws.mode.String(),
 		LastSeq:           m.walSeq.Load(),
 		Segments:          ls.Segments,
@@ -460,11 +461,13 @@ func (ws *walState) loop() {
 	}
 }
 
+// disarm records the cause, then clears armed: WALStats loads armed
+// first, so a reader that sees the WAL disarmed also sees why.
 func (ws *walState) disarm(err error) {
-	ws.armed.Store(false)
 	ws.errMu.Lock()
 	ws.lastErr = err.Error()
 	ws.errMu.Unlock()
+	ws.armed.Store(false)
 }
 
 // appendWALPayload encodes one routed batch in the columnar row-run

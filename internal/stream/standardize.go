@@ -37,6 +37,10 @@ func NewStandardizer(src Source, fitN int, center bool) (*Standardizer, error) {
 	return &Standardizer{src: src, fitN: fitN, center: center}, nil
 }
 
+// fit accumulates the moments of the stored coordinates of the first
+// fitN samples, then folds each feature's implicit zeros in closed form
+// (one Chan merge per feature), so it costs O(nnz + d) rather than
+// O(d·n).
 func (st *Standardizer) fit() {
 	d := st.src.Dim()
 	accs := make([]stats.Welford, d)
@@ -46,28 +50,22 @@ func (st *Standardizer) fit() {
 			break
 		}
 		st.buffered = append(st.buffered, s)
-		// Sparse-aware accumulation: zeros are implicit.
 		for i, ix := range s.Idx {
 			accs[ix].Add(s.Val[i])
 		}
 	}
 	n := int64(len(st.buffered))
-	st.mean = make([]float64, d)
+	if st.center {
+		st.mean = make([]float64, d)
+	}
 	st.invStd = make([]float64, d)
-	for j := 0; j < d; j++ {
-		// Fold the implicit zeros into the moments.
-		zeros := n - accs[j].Count()
-		var w stats.Welford
-		w = accs[j]
-		for z := int64(0); z < zeros; z++ {
-			w.Add(0)
-		}
-		st.mean[j] = 0
-		if w.Count() > 0 {
+	for j := range accs {
+		w := &accs[j]
+		w.AddWeighted(0, n-w.Count())
+		if st.center && w.Count() > 0 {
 			st.mean[j] = w.Mean()
 		}
-		sd := w.Std()
-		if sd > 0 {
+		if sd := w.Std(); sd > 0 {
 			st.invStd[j] = 1 / sd
 		} // zero-variance features are zeroed out (uninformative)
 	}
@@ -108,7 +106,8 @@ func (st *Standardizer) apply(s Sample) Sample {
 // Dim implements Source.
 func (st *Standardizer) Dim() int { return st.src.Dim() }
 
-// Means returns the fitted feature means (fitting on demand).
+// Means returns the fitted feature means (fitting on demand). It is nil
+// in scale-only mode, which never subtracts them.
 func (st *Standardizer) Means() []float64 {
 	if !st.fitted {
 		st.fit()

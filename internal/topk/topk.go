@@ -138,9 +138,9 @@ func (h *Heap) down(i int) {
 	}
 }
 
-// ReservedKey is the one key a Tracker cannot hold: it marks free slots
-// of the tracker's table. Pair keys are below pairs.Count(d) < 2⁶³, so
-// no covariance stream produces it; Offer panics on it rather than
+// ReservedKey is the one key a Tracker or BottomK cannot hold: it marks
+// free slots of their tables. Pair keys are below pairs.Count(d) < 2⁶³,
+// so no covariance stream produces it; Offer panics on it rather than
 // losing it silently.
 const ReservedKey = ^uint64(0)
 
@@ -213,10 +213,14 @@ func NewTracker(capacity int) *Tracker {
 	return t
 }
 
-// home returns key's first probe slot.
-func (t *Tracker) home(key uint64) int {
-	return int((key * 0x9e3779b97f4a7c15) >> t.shift)
+// fibSlot is the multiplicative (Fibonacci) hash of key onto a table of
+// 2^(64−shift) slots, shared by the Tracker and BottomK tables.
+func fibSlot(key uint64, shift uint) int {
+	return int((key * 0x9e3779b97f4a7c15) >> shift)
 }
+
+// home returns key's first probe slot.
+func (t *Tracker) home(key uint64) int { return fibSlot(key, t.shift) }
 
 func (t *Tracker) clear() {
 	for i := range t.keys {
